@@ -6,11 +6,10 @@
 #
 # Run this whenever a change intentionally shifts the EXACT or COUNT metric
 # classes the perf-gate CI job enforces — new kernels, changed per-kernel
-# FLOP/byte closed forms, or allocator behavior that moves churn/mem totals.
-# The perf gate compares at TYXE_NUM_THREADS=1, so baselines are recorded at
-# one pool thread too (par.* chunk/job counters depend on the thread count,
-# and per-span churn attribution is scheduling-dependent once the arena pool
-# is shared across workers).
+# FLOP/byte closed forms, or a change in how many tensor bytes the ops
+# allocate (which moves the churn/mem totals). The perf gate compares at
+# TYXE_NUM_THREADS=1, so baselines are recorded at one pool thread too
+# (par.* chunk/job counters depend on the thread count).
 #
 # After copying, each fresh baseline is re-diffed against the run that
 # produced it (must be self-identical) with --allow-new-keys, which also

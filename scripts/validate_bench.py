@@ -51,7 +51,7 @@ section is validated whenever present; `--pq` additionally *requires* it.
 
 Snapshots may also embed a "manifest" section (schema tx.manifest.v1,
 obs/manifest.h): run provenance — git sha, build type, SIMD dispatch level,
-arena state, thread count, seed, and the full TYXE_* environment table.
+thread count, seed, and the full TYXE_* environment table.
 Validated whenever present; the same document served standalone by the live
 server's /manifest endpoint is auto-detected by its schema string (or
 required with `--manifest`).
@@ -203,11 +203,9 @@ def validate_manifest(path, m):
     # omits its fields) but typed when present.
     if "simd_level" in m and m["simd_level"] not in ("off", "scalar", "avx2", "neon"):
         err(f"'simd_level' invalid: {m['simd_level']!r}")
-    for key in ("threads", "arena_cap_mb", "seed"):
+    for key in ("threads", "seed"):
         if key in m and (not isinstance(m[key], int) or isinstance(m[key], bool)):
             err(f"'{key}' must be an integer: {m[key]!r}")
-    if "arena" in m and m["arena"] not in ("on", "off"):
-        err(f"'arena' invalid: {m['arena']!r}")
 
     env = m.get("env")
     if not isinstance(env, dict) or not env:

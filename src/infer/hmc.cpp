@@ -4,7 +4,6 @@
 
 #include "obs/obs.h"
 #include "resil/guard.h"
-#include "tensor/alloc.h"
 #include "util/textio.h"
 
 namespace tx::infer {
@@ -46,7 +45,7 @@ std::map<std::string, Tensor> Potential::unflatten(
   std::size_t offset = 0;
   for (const auto& [name, shape] : layout_) {
     const std::int64_t n = numel_of(shape);
-    std::vector<float> buf = alloc::buffer_uninit(n);
+    std::vector<float> buf(static_cast<std::size_t>(n));
     for (std::int64_t j = 0; j < n; ++j) {
       buf[static_cast<std::size_t>(j)] = static_cast<float>(q[offset + static_cast<std::size_t>(j)]);
     }
@@ -69,15 +68,11 @@ Tensor Potential::log_joint(const std::map<std::string, Tensor>& latents) const 
 
 double Potential::value(const std::vector<double>& q) const {
   NoGradGuard ng;
-  // Every leapfrog evaluation allocates and drops the same tensor shapes;
-  // recycle them through the per-step arena (covers HMC, NUTS, and SGLD).
-  alloc::StepScope arena_scope;
   return -static_cast<double>(log_joint(unflatten(q)).item());
 }
 
 double Potential::value_and_grad(const std::vector<double>& q,
                                  std::vector<double>& grad) const {
-  alloc::StepScope arena_scope;
   std::map<std::string, Tensor> latents = unflatten(q);
   for (auto& [name, t] : latents) t.set_requires_grad(true);
   Tensor lj = log_joint(latents);

@@ -8,7 +8,6 @@
 #include "obs/obs.h"
 #include "resil/fault.h"
 #include "resil/guard.h"
-#include "tensor/alloc.h"
 
 namespace tx::infer {
 
@@ -42,10 +41,6 @@ double SVI::step() {
   // Open the diag step before the loss evaluation so the
   // DiagnosticsMessenger (if attached) records the sites this step touches.
   obs::diag::svi_step_begin(steps_);
-
-  // Recycle autograd temporaries for the whole step (forward, backward,
-  // optimizer, instrumentation) instead of round-tripping them to the heap.
-  alloc::StepScope arena_scope;
 
   obs::ScopedTimer step_span(
       "svi.step", obs::tracing()
@@ -134,7 +129,6 @@ double SVI::evaluate_loss() {
   std::optional<ppl::GeneratorScope> seed;
   if (gen_ != nullptr) seed.emplace(gen_);
   NoGradGuard ng;
-  alloc::StepScope arena_scope;
   return static_cast<double>(
       loss_->differentiable_loss(model_, guide_).item());
 }

@@ -2,9 +2,9 @@
 //
 // The manifest answers "what exactly produced this number?": git sha and
 // build type (baked in at configure time), the SIMD dispatch level actually
-// selected, arena allocator state, tx::par thread count, the bench seed, and
-// the full TYXE_* environment table (tx::env) including any unrecognized
-// TYXE_* variables that were set. It is
+// selected, tx::par thread count, the bench seed, and the full TYXE_*
+// environment table (tx::env) including any unrecognized TYXE_* variables
+// that were set. It is
 //
 //   * stamped into every BENCH_*.json snapshot as a "manifest" section, so
 //     scripts/bench_diff.py can refuse to compare apples to oranges (e.g. an
@@ -14,8 +14,8 @@
 //
 // Layering: tx_obs sits below tx_tensor and tx_par, so those subsystems
 // publish their fields through register_provider — a static registrar in
-// simd.cpp / alloc.cpp / pool.cpp hands the manifest a callback, and
-// capture() runs every callback exactly once, the first time the manifest is
+// simd.cpp / pool.cpp hands the manifest a callback, and capture() runs
+// every callback exactly once, the first time the manifest is
 // rendered (or explicitly from obs::parse_bench_flags). Binaries that do not
 // link a provider's object file simply omit its fields.
 #pragma once

@@ -10,8 +10,7 @@
 //
 // The inner gemms run on tx::simd kernels (axpy_n / dot8), which evaluate the
 // same canonical arithmetic at every dispatch level, so conv results are also
-// bitwise identical across TYXE_SIMD settings. Output buffers come from
-// tx::alloc; per-worker im2col scratch stays plain (never tensor-adopted).
+// bitwise identical across TYXE_SIMD settings.
 #include <algorithm>
 #include <limits>
 
@@ -20,7 +19,6 @@
 #include "obs/timer.h"
 #include "obs/trace.h"
 #include "par/pool.h"
-#include "tensor/alloc.h"
 #include "tensor/simd.h"
 #include "tensor/tensor.h"
 
@@ -164,7 +162,7 @@ Tensor conv2d(const Tensor& x, const Tensor& weight, const Tensor& bias,
   const ConvDims d = conv_dims(x, weight, stride, padding);
   const std::int64_t patch = d.ic * d.kh * d.kw;
   const std::int64_t spatial = d.oh * d.ow;
-  std::vector<float> out = alloc::buffer(d.n * d.oc * spatial);
+  std::vector<float> out(static_cast<std::size_t>(d.n * d.oc * spatial));
   const bool has_bias = bias.defined();
   const std::int64_t out_numel = d.n * d.oc * spatial;
   {
@@ -288,7 +286,7 @@ Tensor max_pool2d(const Tensor& x, std::int64_t kernel, std::int64_t stride) {
   const std::int64_t ow = (iw - kernel) / stride + 1;
   TX_CHECK(oh > 0 && ow > 0, "max_pool2d: empty output");
   const std::int64_t planes = n * c;
-  std::vector<float> out = alloc::buffer_uninit(planes * oh * ow);
+  std::vector<float> out(static_cast<std::size_t>(planes * oh * ow));
   std::vector<std::int64_t> arg(out.size());
   const float* px = x.data();
   for (std::int64_t p = 0; p < planes; ++p) {
@@ -334,7 +332,7 @@ Tensor avg_pool2d(const Tensor& x, std::int64_t kernel, std::int64_t stride) {
   TX_CHECK(oh > 0 && ow > 0, "avg_pool2d: empty output");
   const std::int64_t planes = n * c;
   const float inv = 1.0f / static_cast<float>(kernel * kernel);
-  std::vector<float> out = alloc::buffer_uninit(planes * oh * ow);
+  std::vector<float> out(static_cast<std::size_t>(planes * oh * ow));
   const float* px = x.data();
   for (std::int64_t p = 0; p < planes; ++p) {
     const float* plane = px + p * ih * iw;

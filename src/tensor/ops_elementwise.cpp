@@ -9,8 +9,8 @@
 // stays sequential and scalar; a scalar-operand fast path covers the
 // ubiquitous tensor-op-scalar case without per-element index arithmetic.
 //
-// Output buffers come from tx::alloc (recycled within inference steps) and
-// are moved straight into the result tensor — one allocation per op.
+// Output buffers are moved straight into the result tensor — one allocation
+// per op.
 #include <cmath>
 
 #include "obs/event_sink.h"
@@ -18,7 +18,6 @@
 #include "obs/trace.h"
 #include "par/pool.h"
 #include "resil/fault.h"
-#include "tensor/alloc.h"
 #include "tensor/simd.h"
 #include "tensor/tensor.h"
 
@@ -48,7 +47,7 @@ BinaryResult broadcast_binary_buffer(const Tensor& a, const Tensor& b, Fn fn,
                                      BinaryKernel vk = nullptr) {
   const Shape out_shape = broadcast_shapes(a.shape(), b.shape());
   const std::int64_t n = numel_of(out_shape);
-  std::vector<float> out = alloc::buffer_uninit(n);
+  std::vector<float> out(static_cast<std::size_t>(n));
   const float* pa = a.data();
   const float* pb = b.data();
   float* po = out.data();
@@ -116,7 +115,7 @@ Tensor map_unary(const char* name, const Tensor& a, Fwd fwd, Bwd bwd,
                  UnaryKernel vk = nullptr) {
   TX_CHECK(a.defined(), name, " on undefined tensor");
   const std::int64_t n = a.numel();
-  std::vector<float> out = alloc::buffer_uninit(n);
+  std::vector<float> out(static_cast<std::size_t>(n));
   const float* pa = a.data();
   float* po = out.data();
   if (n >= kElemParThreshold) {

@@ -18,7 +18,6 @@
 #include "obs/prof.h"
 #include "obs/trace.h"
 #include "par/pool.h"
-#include "tensor/alloc.h"
 #include "tensor/simd.h"
 #include "tensor/tensor.h"
 
@@ -40,7 +39,7 @@ Tensor fma(const Tensor& a, const Tensor& b, const Tensor& c) {
   const Shape out_shape =
       broadcast_shapes(broadcast_shapes(a.shape(), b.shape()), c.shape());
   const std::int64_t n = numel_of(out_shape);
-  std::vector<float> out = alloc::buffer_uninit(n);
+  std::vector<float> out(static_cast<std::size_t>(n));
   const float* pa = a.data();
   const float* pb = b.data();
   const float* pc = c.data();
@@ -117,8 +116,8 @@ Tensor gauss_logpdf_sum(const Tensor& value, const Tensor& loc,
   const float* ps = scale.data();
   // z is cached for the backward pass; lp is pure scratch for the canonical
   // reduction and stays a plain (unobserved) vector like other op scratch.
-  std::vector<float> zb = alloc::buffer_uninit(n);
-  std::vector<float> invb = alloc::buffer_uninit(sn);
+  std::vector<float> zb(static_cast<std::size_t>(n));
+  std::vector<float> invb(static_cast<std::size_t>(sn));
   for (std::int64_t j = 0; j < sn; ++j) invb[j] = 1.0f / ps[j];
   std::vector<float> lp(static_cast<std::size_t>(n));
   double s = 0.0;

@@ -13,7 +13,6 @@
 #include "obs/trace.h"
 #include "par/pool.h"
 #include "resil/fault.h"
-#include "tensor/alloc.h"
 #include "tensor/simd.h"
 #include "tensor/tensor.h"
 
@@ -144,7 +143,7 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
            join(a.shape()), "] x [", join(b.shape()), "]");
   const std::int64_t m = a.dim(0), k = a.dim(1), k2 = b.dim(0), n = b.dim(1);
   TX_CHECK(k == k2, "matmul inner dims mismatch: ", k, " vs ", k2);
-  std::vector<float> out = alloc::buffer(m * n);
+  std::vector<float> out(static_cast<std::size_t>(m * n));
   {
     obs::ScopedTimer span("par.matmul", obs::tracing()
                                             ? gemm_trace_args(1, m, k, n)
@@ -179,7 +178,7 @@ Tensor bmm(const Tensor& a, const Tensor& b) {
   TX_CHECK(b.dim(0) == batch && b.dim(1) == k, "bmm shape mismatch: [",
            join(a.shape()), "] x [", join(b.shape()), "]");
   const std::int64_t n = b.dim(2);
-  std::vector<float> out = alloc::buffer(batch * m * n);
+  std::vector<float> out(static_cast<std::size_t>(batch * m * n));
   {
     obs::ScopedTimer span("par.bmm", obs::tracing()
                                          ? gemm_trace_args(batch, m, k, n)

@@ -15,7 +15,6 @@
 #include "obs/prof.h"
 #include "obs/trace.h"
 #include "par/pool.h"
-#include "tensor/alloc.h"
 #include "tensor/simd.h"
 #include "tensor/tensor.h"
 
@@ -75,7 +74,7 @@ Tensor sum(const Tensor& a, const std::vector<std::int64_t>& axes,
   TX_CHECK(!axes.empty(), "sum: empty axis list (use sum(a) for full sum)");
   const ReducePlan plan = make_reduce_plan(a.shape(), axes);
   const std::int64_t out_n = numel_of(plan.keep_shape);
-  std::vector<float> out = alloc::buffer(out_n);
+  std::vector<float> out(static_cast<std::size_t>(out_n));
   const float* pa = a.data();
   const std::int64_t n = a.numel();
   if (n >= kReduceParThreshold && out_n > 1) {
@@ -187,7 +186,7 @@ Tensor extremum(const Tensor& a, std::int64_t axis, bool keepdim, float sign,
   axis = normalize_axis(axis, rank);
   const ReducePlan plan = make_reduce_plan(a.shape(), {axis});
   const std::int64_t out_n = numel_of(plan.keep_shape);
-  std::vector<float> out = alloc::buffer_uninit(out_n);
+  std::vector<float> out(static_cast<std::size_t>(out_n));
   std::fill(out.begin(), out.end(), -std::numeric_limits<float>::infinity());
   std::vector<std::int64_t> arg(static_cast<std::size_t>(out_n), -1);
   const float* pa = a.data();
@@ -262,7 +261,7 @@ Tensor cumsum(const Tensor& a, std::int64_t axis) {
   const std::int64_t stride = strides[static_cast<std::size_t>(axis)];
   // Iterate over all "lines" along the axis.
   const std::int64_t n = a.numel();
-  std::vector<float> out = alloc::buffer_uninit(n);
+  std::vector<float> out(static_cast<std::size_t>(n));
   simd::copy_n(a.data(), out.data(), n);
   const std::int64_t line_block = stride * len;
   for (std::int64_t base = 0; base < n; base += line_block) {
@@ -280,7 +279,7 @@ Tensor cumsum(const Tensor& a, std::int64_t axis) {
       "cumsum", shape, std::move(out), {a},
       [shape, strides, len, stride, ax](const Tensor& g) {
         // d/dx_i sum over outputs j>=i -> reverse cumulative sum of g.
-        std::vector<float> gv = alloc::buffer_uninit(g.numel());
+        std::vector<float> gv(static_cast<std::size_t>(g.numel()));
         simd::copy_n(g.data(), gv.data(), g.numel());
         const std::int64_t total = static_cast<std::int64_t>(gv.size());
         const std::int64_t block = stride * len;

@@ -1,11 +1,8 @@
 // Shape manipulation ops: reshape, permute, broadcast, concatenation,
-// slicing, indexing, one-hot. Pure data movement — output buffers come from
-// tx::alloc and are fully overwritten before use, so recycling cannot affect
-// values.
+// slicing, indexing, one-hot. Pure data movement.
 #include <algorithm>
 #include <cmath>
 
-#include "tensor/alloc.h"
 #include "tensor/simd.h"
 #include "tensor/tensor.h"
 
@@ -31,7 +28,7 @@ Tensor reshape(const Tensor& a, Shape new_shape) {
   TX_CHECK(numel_of(new_shape) == a.numel(), "reshape: numel mismatch [",
            join(a.shape()), "] -> [", join(new_shape), "]");
   const Shape old_shape = a.shape();
-  std::vector<float> out = alloc::buffer_uninit(a.numel());
+  std::vector<float> out(static_cast<std::size_t>(a.numel()));
   simd::copy_n(a.data(), out.data(), a.numel());
   return make_tensor_from_op(
       "reshape", new_shape, std::move(out), {a},
@@ -53,7 +50,7 @@ Tensor permute(const Tensor& a, const std::vector<std::int64_t>& dims) {
     out_shape[i] = a.shape()[static_cast<std::size_t>(d)];
   }
   const Shape in_strides = contiguous_strides(a.shape());
-  std::vector<float> out = alloc::buffer_uninit(a.numel());
+  std::vector<float> out(static_cast<std::size_t>(a.numel()));
   const float* pa = a.data();
   for_each_index(out_shape, [&](const std::vector<std::int64_t>& idx,
                                 std::int64_t flat) {
@@ -90,7 +87,7 @@ Tensor transpose(const Tensor& a, std::int64_t d0, std::int64_t d1) {
 Tensor broadcast_to(const Tensor& a, const Shape& target) {
   if (a.shape() == target) return a;
   const Shape strides = broadcast_strides(a.shape(), target);
-  std::vector<float> out = alloc::buffer_uninit(numel_of(target));
+  std::vector<float> out(static_cast<std::size_t>(numel_of(target)));
   const float* pa = a.data();
   for_each_index(target, [&](const std::vector<std::int64_t>& idx,
                              std::int64_t flat) {
@@ -154,7 +151,7 @@ Tensor cat(const std::vector<Tensor>& parts, std::int64_t axis) {
     inner *= out_shape[static_cast<std::size_t>(d)];
   }
   const std::int64_t total_axis = out_shape[static_cast<std::size_t>(axis)];
-  std::vector<float> out = alloc::buffer_uninit(numel_of(out_shape));
+  std::vector<float> out(static_cast<std::size_t>(numel_of(out_shape)));
   std::int64_t offset = 0;
   for (std::size_t p = 0; p < parts.size(); ++p) {
     const float* src = parts[p].data();
@@ -211,7 +208,7 @@ Tensor slice(const Tensor& a, std::int64_t axis, std::int64_t start,
   std::int64_t outer = 1, inner = 1;
   for (std::int64_t d = 0; d < axis; ++d) outer *= a.shape()[static_cast<std::size_t>(d)];
   for (std::int64_t d = axis + 1; d < rank; ++d) inner *= a.shape()[static_cast<std::size_t>(d)];
-  std::vector<float> out = alloc::buffer_uninit(numel_of(out_shape));
+  std::vector<float> out(static_cast<std::size_t>(numel_of(out_shape)));
   const float* pa = a.data();
   const std::int64_t span = end - start;
   for (std::int64_t o = 0; o < outer; ++o) {
@@ -258,7 +255,7 @@ Tensor index_select(const Tensor& a, std::int64_t axis,
   std::int64_t outer = 1, inner = 1;
   for (std::int64_t d = 0; d < axis; ++d) outer *= a.shape()[static_cast<std::size_t>(d)];
   for (std::int64_t d = axis + 1; d < rank; ++d) inner *= a.shape()[static_cast<std::size_t>(d)];
-  std::vector<float> out = alloc::buffer_uninit(numel_of(out_shape));
+  std::vector<float> out(static_cast<std::size_t>(numel_of(out_shape)));
   const float* pa = a.data();
   const auto k_out = static_cast<std::int64_t>(indices.size());
   for (std::int64_t o = 0; o < outer; ++o) {
@@ -300,7 +297,7 @@ Tensor gather_last(const Tensor& a, const Tensor& index) {
            join(index.shape()), "] must equal leading dims [", join(out_shape),
            "]");
   const std::int64_t rows = numel_of(out_shape);
-  std::vector<float> out = alloc::buffer_uninit(rows);
+  std::vector<float> out(static_cast<std::size_t>(rows));
   std::vector<std::int64_t> picks(static_cast<std::size_t>(rows));
   const float* pa = a.data();
   for (std::int64_t r = 0; r < rows; ++r) {

@@ -5,7 +5,6 @@
 #include "obs/mem.h"
 #include "obs/prof.h"
 #include "par/pool.h"
-#include "tensor/alloc.h"
 #include "tensor/simd.h"
 #include <cmath>
 #include <sstream>
@@ -17,15 +16,7 @@ namespace tx {
 TensorImpl::TensorImpl() { obs::mem::on_tensor_create(); }
 
 TensorImpl::~TensorImpl() {
-  std::int64_t remaining = accounted_bytes_;
-  if (remaining != 0) {
-    // Inside a step region the buffers are donated to the thread's pool
-    // (tx::alloc keeps them accounted as live); only the non-donated
-    // remainder actually returns to the heap.
-    remaining -= alloc::donate(data);
-    remaining -= alloc::donate(grad);
-    if (remaining != 0) obs::mem::on_bytes_delta(-remaining);
-  }
+  if (accounted_bytes_ != 0) obs::mem::on_bytes_delta(-accounted_bytes_);
   obs::mem::on_tensor_destroy();
 }
 
@@ -34,30 +25,14 @@ void TensorImpl::account() {
       (data.capacity() + grad.capacity()) * sizeof(float));
   if (now == accounted_bytes_) return;
   const std::int64_t delta = now - accounted_bytes_;
-  if (delta > 0) {
-    // Growth served from the step pool was already live under the pool's
-    // ledger (tracked by the thread's acquisition credit); only the fresh
-    // remainder is new heap traffic and allocator churn.
-    const std::int64_t fresh = delta - alloc::consume_credit(delta);
-    if (fresh > 0) {
-      obs::mem::on_bytes_delta(fresh);
-      obs::prof::on_alloc(fresh);
-    }
-  } else {
-    obs::mem::on_bytes_delta(delta);
-  }
+  obs::mem::on_bytes_delta(delta);
+  if (delta > 0) obs::prof::on_alloc(delta);
   accounted_bytes_ = now;
 }
 
 void TensorImpl::release_grad() {
   if (grad.capacity() == 0) return;
-  const std::int64_t absorbed = alloc::donate(grad);
-  if (absorbed != 0) {
-    // The bytes moved into the pool ledger and are still live.
-    accounted_bytes_ -= absorbed;
-  } else {
-    std::vector<float>().swap(grad);
-  }
+  std::vector<float>().swap(grad);
   account();
 }
 
@@ -95,12 +70,7 @@ Tensor::Tensor(Shape shape, float fill) {
   const std::int64_t n = numel_of(shape);
   impl_ = std::make_shared<TensorImpl>();
   impl_->shape = std::move(shape);
-  if (fill == 0.0f) {
-    impl_->data = alloc::buffer(n);
-  } else {
-    impl_->data = alloc::buffer_uninit(n);
-    std::fill(impl_->data.begin(), impl_->data.end(), fill);
-  }
+  impl_->data.assign(static_cast<std::size_t>(n), fill);
   impl_->account();
 }
 
@@ -188,7 +158,7 @@ Tensor Tensor::grad() const {
   TX_CHECK(defined(), "grad() on undefined tensor");
   if (impl_->grad.empty()) return zeros(impl_->shape);
   const auto n = static_cast<std::int64_t>(impl_->grad.size());
-  std::vector<float> v = alloc::buffer_uninit(n);
+  std::vector<float> v(static_cast<std::size_t>(n));
   simd::copy_n(impl_->grad.data(), v.data(), n);
   return Tensor(impl_->shape, std::move(v));
 }
@@ -201,15 +171,14 @@ const std::vector<float>& Tensor::grad_buffer() const {
 void Tensor::zero_grad() {
   TX_CHECK(defined(), "zero_grad() on undefined tensor");
   // Release the buffer (not just clear) so live-bytes accounting reflects
-  // the drop between backward passes; inside a step region the buffer is
-  // donated for reuse instead of freed.
+  // the drop between backward passes.
   impl_->release_grad();
 }
 
 Tensor Tensor::detach() const {
   TX_CHECK(defined(), "detach() on undefined tensor");
   const std::int64_t n = numel();
-  std::vector<float> v = alloc::buffer_uninit(n);
+  std::vector<float> v(static_cast<std::size_t>(n));
   simd::copy_n(impl_->data.data(), v.data(), n);
   return Tensor(impl_->shape, std::move(v));
 }
@@ -217,7 +186,7 @@ Tensor Tensor::detach() const {
 Tensor Tensor::clone() const {
   TX_CHECK(defined(), "clone() on undefined tensor");
   const std::int64_t n = numel();
-  std::vector<float> v = alloc::buffer_uninit(n);
+  std::vector<float> v(static_cast<std::size_t>(n));
   simd::copy_n(impl_->data.data(), v.data(), n);
   return make_tensor_from_op(
       "clone", impl_->shape, std::move(v), {*this},
@@ -329,7 +298,7 @@ void accumulate_grad(const std::shared_ptr<TensorImpl>& impl, const Tensor& g) {
            "gradient numel ", g.numel(), " != tensor numel ", impl->data.size());
   const auto n = static_cast<std::int64_t>(impl->data.size());
   if (impl->grad.empty()) {
-    impl->grad = alloc::buffer_uninit(n);
+    impl->grad = std::vector<float>(static_cast<std::size_t>(n));
     simd::copy_n(g.data(), impl->grad.data(), n);
     impl->account();
   } else {
@@ -377,7 +346,7 @@ void Tensor::backward() const {
     if (!fn) continue;
     if (node->grad.empty()) continue;  // branch never reached by the root
     const auto gn = static_cast<std::int64_t>(node->grad.size());
-    std::vector<float> gbuf = alloc::buffer_uninit(gn);
+    std::vector<float> gbuf(static_cast<std::size_t>(gn));
     simd::copy_n(node->grad.data(), gbuf.data(), gn);
     Tensor grad_out(node->shape, std::move(gbuf));
     std::vector<Tensor> input_grads =
@@ -405,14 +374,15 @@ Tensor zeros_like(const Tensor& t) { return zeros(t.shape()); }
 Tensor ones_like(const Tensor& t) { return ones(t.shape()); }
 
 Tensor arange(std::int64_t n) {
-  std::vector<float> v = alloc::buffer_uninit(n);
+  TX_CHECK(n >= 0, "arange needs n >= 0");
+  std::vector<float> v(static_cast<std::size_t>(n));
   for (std::int64_t i = 0; i < n; ++i) v[static_cast<std::size_t>(i)] = static_cast<float>(i);
   return Tensor(Shape{n}, std::move(v));
 }
 
 Tensor linspace(float lo, float hi, std::int64_t n) {
   TX_CHECK(n >= 2, "linspace needs n >= 2");
-  std::vector<float> v = alloc::buffer_uninit(n);
+  std::vector<float> v(static_cast<std::size_t>(n));
   const float step = (hi - lo) / static_cast<float>(n - 1);
   for (std::int64_t i = 0; i < n; ++i) {
     v[static_cast<std::size_t>(i)] = lo + step * static_cast<float>(i);
@@ -429,7 +399,7 @@ Tensor eye(std::int64_t n) {
 Tensor randn(Shape shape, Generator* gen) {
   Generator& g = gen ? *gen : global_generator();
   const std::int64_t n = numel_of(shape);
-  std::vector<float> v = alloc::buffer_uninit(n);
+  std::vector<float> v(static_cast<std::size_t>(n));
   for (auto& x : v) x = static_cast<float>(g.normal());
   return Tensor(std::move(shape), std::move(v));
 }
@@ -437,7 +407,7 @@ Tensor randn(Shape shape, Generator* gen) {
 Tensor rand_uniform(Shape shape, float lo, float hi, Generator* gen) {
   Generator& g = gen ? *gen : global_generator();
   const std::int64_t n = numel_of(shape);
-  std::vector<float> v = alloc::buffer_uninit(n);
+  std::vector<float> v(static_cast<std::size_t>(n));
   for (auto& x : v) x = static_cast<float>(g.uniform(lo, hi));
   return Tensor(std::move(shape), std::move(v));
 }
@@ -445,7 +415,7 @@ Tensor rand_uniform(Shape shape, float lo, float hi, Generator* gen) {
 Tensor randint(Shape shape, std::int64_t lo, std::int64_t hi, Generator* gen) {
   Generator& g = gen ? *gen : global_generator();
   const std::int64_t n = numel_of(shape);
-  std::vector<float> v = alloc::buffer_uninit(n);
+  std::vector<float> v(static_cast<std::size_t>(n));
   for (auto& x : v) x = static_cast<float>(g.randint(lo, hi));
   return Tensor(std::move(shape), std::move(v));
 }
@@ -453,7 +423,7 @@ Tensor randint(Shape shape, std::int64_t lo, std::int64_t hi, Generator* gen) {
 Tensor rand_sign(Shape shape, Generator* gen) {
   Generator& g = gen ? *gen : global_generator();
   const std::int64_t n = numel_of(shape);
-  std::vector<float> v = alloc::buffer_uninit(n);
+  std::vector<float> v(static_cast<std::size_t>(n));
   for (auto& x : v) x = g.bernoulli(0.5) ? 1.0f : -1.0f;
   return Tensor(std::move(shape), std::move(v));
 }

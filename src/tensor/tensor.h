@@ -57,12 +57,9 @@ struct TensorImpl {
 
   /// Re-sync tx::obs::mem accounting with the current data/grad capacity.
   /// Every code path that resizes either buffer calls this afterwards.
-  /// Growth served from the tx::alloc step pool is recognized via the
-  /// thread's acquisition credit and not re-reported as fresh heap traffic.
   void account();
 
-  /// Release the grad buffer, donating it to the step pool when one is
-  /// active (otherwise freeing it), with exact accounting either way.
+  /// Free the grad buffer and re-sync the accounting.
   void release_grad();
 
  private:

@@ -13,11 +13,6 @@ namespace tx::env {
 
 const std::vector<Var>& known_vars() {
   static const std::vector<Var> vars = {
-      {"TYXE_ARENA", "on",
-       "per-step buffer-recycling arena for autograd temporaries (off "
-       "disables)"},
-      {"TYXE_ARENA_CAP_MB", "256",
-       "per-thread cap on pooled arena bytes, in MiB"},
       {"TYXE_DIAG", "",
        "path for the tx.diag.v1 inference-health snapshot (enables diag)"},
       {"TYXE_FAULT", "",

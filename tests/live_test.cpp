@@ -1,6 +1,6 @@
 // Tests for the live telemetry plane: Prometheus text rendering, /healthz
 // staleness logic, the tx.manifest.v1 run manifest (including the provider
-// registrations from tx::simd / tx::alloc / tx::par), the TYXE_* environment
+// registrations from tx::simd / tx::par), the TYXE_* environment
 // audit, and the HTTP server end to end over a real loopback socket.
 #include "obs/live.h"
 
@@ -19,7 +19,6 @@
 #include "obs/registry.h"
 #include "obs/timer.h"
 #include "par/pool.h"
-#include "tensor/alloc.h"
 #include "tensor/simd.h"
 #include "util/env.h"
 
@@ -65,15 +64,12 @@ TEST_F(LiveTest, ManifestIncludesProviderFields) {
   // Touch the provider TUs so the linker keeps their registrars.
   (void)tx::par::num_threads();
   (void)tx::simd::level_name();
-  (void)tx::alloc::enabled();
   const std::string doc = tx::obs::manifest::json();
   EXPECT_NE(doc.find("\"schema\": \"tx.manifest.v1\""), std::string::npos);
   EXPECT_NE(doc.find("\"git_sha\": \""), std::string::npos);
   EXPECT_NE(doc.find("\"build_type\": \""), std::string::npos);
   EXPECT_NE(doc.find("\"simd_level\": \""), std::string::npos);
   EXPECT_NE(doc.find("\"threads\": "), std::string::npos);
-  EXPECT_NE(doc.find("\"arena\": \""), std::string::npos);
-  EXPECT_NE(doc.find("\"arena_cap_mb\": "), std::string::npos);
   // Full env table with defaults.
   EXPECT_NE(doc.find("\"TYXE_SIMD\""), std::string::npos);
   EXPECT_NE(doc.find("\"TYXE_NUM_THREADS\""), std::string::npos);

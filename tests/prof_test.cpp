@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "infer/infer.h"
+#include "mlp_model.h"
 #include "obs/obs.h"
 #include "par/pool.h"
 #include "ppl/ppl.h"
@@ -240,10 +241,24 @@ TEST_F(ProfTest, ChurnCoversAllocWindow) {
   const std::int64_t window = obs::prof::window_allocated_bytes();
   ASSERT_GT(window, 0);
   // Every positive account() delta is attributed somewhere, so attribution
-  // should cover (at least) 95% of the window — in this self-contained test
-  // it is exact.
-  EXPECT_GE(obs::prof::attributed_bytes(), window * 95 / 100);
-  EXPECT_LE(obs::prof::attributed_bytes(), window);
+  // covers the window exactly.
+  EXPECT_EQ(obs::prof::attributed_bytes(), window);
+}
+
+// The same exactness over real SVI steps: forward, backward, optimizer and
+// instrumentation all allocate, and every byte obs::mem sees in the window
+// is attributed to a span.
+TEST_F(ProfTest, ChurnCoversAllocWindowOverSviSteps) {
+  tx::manual_seed(11);
+  const test_util::MlpModel model;
+  test_util::MlpFit fit(model);
+  fit.svi->step();  // outside the window: lazy param/optimizer setup
+  obs::prof::reset();
+  for (int i = 0; i < 5; ++i) fit.svi->step();
+  obs::prof::flush_thread_cache();
+  ASSERT_GT(obs::prof::window_allocated_bytes(), 0);
+  EXPECT_EQ(obs::prof::attributed_bytes(),
+            obs::prof::window_allocated_bytes());
 }
 
 // The multi-particle ELBO fans particles out across pool workers

@@ -1,18 +1,23 @@
 // Tests for the Chrome-trace recorder (obs/trace.h), tensor memory
 // accounting (obs/mem.h), and the span-path propagation into tx::par
 // workers, including a python round-trip against validate_bench.py when a
-// python3 interpreter is available.
+// python3 interpreter is available, plus a check that docs/configuration.md
+// documents exactly the registered TYXE_* knobs.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <fstream>
+#include <regex>
+#include <set>
 #include <sstream>
 #include <thread>
 #include <vector>
 
+#include "mlp_model.h"
 #include "obs/obs.h"
 #include "par/pool.h"
 #include "tensor/tensor.h"
+#include "util/env.h"
 
 namespace tx {
 namespace {
@@ -266,6 +271,23 @@ TEST_F(TraceTest, MemHighWaterUnderChurn) {
   EXPECT_LT(obs::mem::peak_bytes(), base + 8 * 16384);
 }
 
+// Every fit must hand back all the memory it took: once its SVI, guide and
+// ParamStore are gone, live_bytes returns to where it stood before the fit,
+// so a second fit in the same process starts from the same live set.
+TEST_F(TraceTest, SviFitsReturnLiveBytesToBaseline) {
+  manual_seed(7);
+  const test_util::MlpModel model;
+  for (int fit = 0; fit < 2; ++fit) {
+    const std::int64_t live0 = obs::mem::live_bytes();
+    {
+      test_util::MlpFit f(model);
+      for (int i = 0; i < 5; ++i) f.svi->step();
+      EXPECT_GT(obs::mem::live_bytes(), live0);  // guide params are live
+    }
+    EXPECT_EQ(obs::mem::live_bytes(), live0) << "after fit " << fit;
+  }
+}
+
 TEST_F(TraceTest, SnapshotCarriesMemGauges) {
   Tensor keep(Shape{128});
   const std::string path = temp_path("trace_snapshot.json");
@@ -293,6 +315,30 @@ TEST_F(TraceTest, TracePathFromArgsPrefersFlag) {
   // A trailing --trace with no value falls through to the env/default.
   const char* trailing[] = {"bench", "--trace", nullptr};
   EXPECT_EQ(obs::trace_path_from_args(2, const_cast<char**>(trailing)), "");
+}
+
+// ---- docs in sync with the code --------------------------------------------
+
+// docs/configuration.md has one table row per TYXE_* knob; it must name
+// exactly the variables tx::env registers.
+TEST_F(TraceTest, ConfigurationDocListsExactlyTheKnownEnvVars) {
+  const std::string doc =
+      read_file(std::string(TX_SOURCE_DIR) + "/docs/configuration.md");
+  ASSERT_FALSE(doc.empty());
+  std::set<std::string> documented;
+  const std::regex row(R"(\n\| `(TYXE_[A-Z0-9_]+)` \|)");
+  for (std::sregex_iterator it(doc.begin(), doc.end(), row), end; it != end;
+       ++it) {
+    documented.insert((*it)[1].str());
+  }
+  std::set<std::string> known;
+  for (const env::Var& v : env::known_vars()) known.insert(v.name);
+  for (const std::string& name : known) {
+    EXPECT_TRUE(documented.count(name)) << name << " has no docs row";
+  }
+  for (const std::string& name : documented) {
+    EXPECT_TRUE(known.count(name)) << name << " is documented but unknown";
+  }
 }
 
 // ---- round-trip through the python validator -------------------------------
